@@ -55,7 +55,7 @@ val fused_marginal :
     warm primal solve per ISP plus a second-order dual pass through
     both utilization equilibria (the logit share is constant in the
     common subsidy). Drives the fused Newton best response of the CP
-    game in continuation mode; exported for the derivative pin tests. *)
+    game; exported for the derivative pin tests. *)
 
 val market_at : t -> prices:float * float -> market
 (** Solve the CPs' subsidization game under the given price pair, then

@@ -35,7 +35,8 @@ let marginal_formula game ~subsidies =
   let ups = upsilon game ~subsidies in
   st.System.aggregate +. (ups *. Vec.dot eps st.System.throughputs)
 
-let marginal_numeric ?(h = 1e-5) game =
+let marginal_numeric game =
+  let h = 1e-4 in
   let p = Subsidy_game.price game in
   let revenue_at price =
     let g = Subsidy_game.with_price game price in
@@ -45,9 +46,8 @@ let marginal_numeric ?(h = 1e-5) game =
   if p -. h < 0. then (revenue_at (p +. h) -. revenue_at p) /. h
   else (revenue_at (p +. h) -. revenue_at (p -. h)) /. (2. *. h)
 
-(* one price cell of a revenue scan, driven through the continuation
-   track: secant-predicted subsidies in Fast mode, plain warm start in
-   Legacy *)
+(* one price cell of a revenue scan, its subsidies predicted from the
+   previous cells on the continuation track *)
 let equilibrium_cell track game p =
   let g = Subsidy_game.with_price game p in
   let eq =

@@ -23,15 +23,16 @@ val marginal_formula : Subsidy_game.t -> subsidies:Numerics.Vec.t -> float
 (** Equation (13): [dR/dp = sum_i theta_i + Upsilon sum_i eps^mi_p
     theta_i], evaluated at an equilibrium profile. *)
 
-val marginal_numeric : ?h:float -> Subsidy_game.t -> float
-(** [dR/dp] by re-solving the Nash equilibrium at perturbed prices:
-    the ground truth the formula is validated against. *)
+val marginal_numeric : Subsidy_game.t -> float
+(** [dR/dp] by re-solving the Nash equilibrium at prices [p +- 1e-4]
+    (one-sided when [p < 1e-4]): the ground truth the formula is
+    validated against. *)
 
 val curve :
   Subsidy_game.t -> prices:float array -> (float * Nash.equilibrium * float) array
 (** [(p, equilibrium(p), R(p))] along a price grid, each solve
-    continuation-predicted from the previous cells (secant in [Fast]
-    mode, plain warm start in [Legacy]). *)
+    continuation-predicted from the previous cells (see
+    {!Numerics.Continuation.predict}). *)
 
 val optimal_price :
   ?p_max:float ->

@@ -218,7 +218,7 @@ let theorem6 game (eq : Nash.equilibrium) =
 
 let theorem7 game (eq : Nash.equilibrium) =
   let formula = Revenue.marginal_formula game ~subsidies:eq.Nash.subsidies in
-  let numeric = Revenue.marginal_numeric ~h:1e-4 game in
+  let numeric = Revenue.marginal_numeric game in
   mk "theorem7.marginal-revenue"
     (close ~rtol:5e-2 ~atol:1e-3 formula numeric)
     "dR/dp formula=%g numeric=%g" formula numeric

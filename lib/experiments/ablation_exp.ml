@@ -6,8 +6,7 @@ let prices = [| 0.2; 0.5; 0.8; 1.1; 1.4; 1.7; 2.0 |]
 (* row 0 is the reference; the others are the perturbed variants. Each
    solver takes the continuation prediction as [?x0]; variants with
    their own start discard it. [~fused:false] is the pre-continuation
-   grid-scan respond — a per-variant switch, not the global mode, so
-   the pool can run variants concurrently. *)
+   grid-scan respond. *)
 let solvers =
   [|
     ("reference (defaults)", fun ?x0 g -> Nash.solve ?x0 g);

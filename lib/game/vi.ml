@@ -15,9 +15,11 @@ let kkt_violation f box x =
   let worst = ref 0. in
   for i = 0 to Box.dim box - 1 do
     let violation =
-      if Box.on_lower box x i then Float.max 0. (-.fx.(i))
-      else if Box.on_upper box x i then Float.max 0. fx.(i)
-      else Float.abs fx.(i)
+      match (Box.on_lower box x i, Box.on_upper box x i) with
+      | true, true -> 0. (* pinned at both bounds: any sign of F_i is stationary *)
+      | true, false -> Float.max 0. (-.fx.(i))
+      | false, true -> Float.max 0. fx.(i)
+      | false, false -> Float.abs fx.(i)
     in
     worst := Float.max !worst violation
   done;

@@ -20,7 +20,8 @@ val is_solution : ?tol:float -> f -> Box.t -> Numerics.Vec.t -> bool
 val kkt_violation : f -> Box.t -> Numerics.Vec.t -> float
 (** Maximum complementarity violation of the box-KKT system: for each
     coordinate, [F_i >= 0] at the lower bound, [F_i <= 0] at the upper
-    bound and [F_i = 0] inside. Equivalent to [residual] up to
+    bound and [F_i = 0] inside; a coordinate at both bounds (a
+    degenerate interval) contributes 0. Equivalent to [residual] up to
     clamping, reported in the units of [F]. *)
 
 val projection_step :

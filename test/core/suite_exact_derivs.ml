@@ -4,12 +4,12 @@ module Vec = Numerics.Vec
 module Mat = Numerics.Mat
 module Dual = Numerics.Dual
 
-(* The exact (dual-number) derivative paths against the legacy
-   finite-difference stencils they replace: the continuation solver and
-   the Theorem-6/8 sensitivity analysis are only as sound as these
-   agree. FD carries O(h^2) truncation error through a nested
-   equilibrium solve, so the pins use a looser band than the pure-kernel
-   tests in test/econ. *)
+(* The exact (dual-number) derivative paths against the
+   finite-difference stencils they replace, kept in [Legacy_oracle]:
+   the continuation solver and the Theorem-6/8 sensitivity analysis are
+   only as sound as these agree. FD carries O(h^2) truncation error
+   through a nested equilibrium solve, so the pins use a looser band
+   than the pure-kernel tests in test/econ. *)
 
 let rel_close ~tol expected actual =
   Float.abs (actual -. expected) <= tol *. (1. +. Float.abs expected)
@@ -25,7 +25,7 @@ let test_jacobian_exact_vs_fd () =
   let g = game () in
   let s = interior_profile g in
   let exact = Subsidy_game.marginal_jacobian_exact g ~subsidies:s in
-  let fd = Sensitivity.marginal_jacobian ~h:1e-6 g ~subsidies:s in
+  let fd = Legacy_oracle.marginal_jacobian ~h:1e-6 g ~subsidies:s in
   let n = Subsidy_game.dim g in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
@@ -34,35 +34,13 @@ let test_jacobian_exact_vs_fd () =
            (Mat.get exact i j) (Mat.get fd i j))
         (rel_close ~tol:1e-4 (Mat.get fd i j) (Mat.get exact i j))
     done
-  done;
-  (* without an explicit h the dispatch must pick the exact path (the
-     warm phi cache moves the repeat solve by last-bit amounts, so
-     "equal" means to solver tolerance, not bit-identical) *)
-  let dispatched = Sensitivity.marginal_jacobian g ~subsidies:s in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      check_true "dispatch = exact"
-        (rel_close ~tol:1e-9 (Mat.get exact i j) (Mat.get dispatched i j))
-    done
   done
-
-let test_jacobian_legacy_mode_stencils () =
-  let g = game () in
-  let s = interior_profile g in
-  let exact = Sensitivity.marginal_jacobian g ~subsidies:s in
-  Numerics.Continuation.with_mode Numerics.Continuation.Legacy (fun () ->
-      Numerics.Diff.reset_stats ();
-      let fd = Sensitivity.marginal_jacobian g ~subsidies:s in
-      check_true "legacy mode spends stencils"
-        ((Numerics.Diff.stats ()).Numerics.Diff.estimates > 0.);
-      check_true "legacy agrees with exact"
-        (rel_close ~tol:1e-4 (Mat.get exact 0 0) (Mat.get fd 0 0)))
 
 let test_du_dprice_exact_vs_fd () =
   let g = game () in
   let s = interior_profile g in
   let exact = Sensitivity.du_dprice g ~subsidies:s in
-  let fd = Sensitivity.du_dprice ~h:1e-6 g ~subsidies:s in
+  let fd = Legacy_oracle.du_dprice ~h:1e-6 g ~subsidies:s in
   Array.iteri
     (fun k fdk ->
       check_true
@@ -120,14 +98,11 @@ let test_marginal_utilities_d_primal () =
     primal
 
 let test_nash_agrees_across_modes () =
-  (* the end-to-end pin: the fused continuation path and the legacy
-     grid-scan respond must find the same equilibrium *)
+  (* the end-to-end pin: the fused Newton respond and the grid-scan
+     respond must find the same equilibrium *)
   let g = game () in
   let fast = Nash.solve g in
-  let legacy =
-    Numerics.Continuation.with_mode Numerics.Continuation.Legacy (fun () ->
-        Nash.solve g)
-  in
+  let legacy = Legacy_oracle.nash g in
   check_true "both converged" (fast.Nash.converged && legacy.Nash.converged);
   Array.iteri
     (fun i si ->
@@ -137,14 +112,33 @@ let test_nash_agrees_across_modes () =
         (Float.abs (si -. legacy.Nash.subsidies.(i)) <= 1e-5))
     fast.Nash.subsidies
 
+let test_no_stencils_on_production_paths () =
+  (* every derivative the production solve chain takes is exact: none
+     of these may fall back to a finite-difference stencil *)
+  let g = Subsidy_game.make (Fixtures.paper5 ()) ~price:0.8 ~cap:0.4 in
+  Numerics.Diff.reset_stats ();
+  Numerics.Ad.reset_stats ();
+  let eq = Nash.solve g in
+  let subsidies = eq.Nash.subsidies in
+  let part = Sensitivity.partition g ~subsidies in
+  check_true "interior CPs exercise the price forcing term"
+    (Array.length part.Sensitivity.interior > 0);
+  ignore (Sensitivity.policy_effect ~dp_dq:0.5 g ~subsidies);
+  ignore (Nash.off_diagonal_monotone g ~subsidies);
+  ignore (Nash.jacobian_is_p_matrix g ~subsidies);
+  ignore (Revenue.curve g ~prices:[| 0.6; 0.7; 0.8 |]);
+  check_true "exact passes were taken" ((Numerics.Ad.stats ()).Numerics.Ad.passes > 0.);
+  check_close ~tol:0. "no FD estimates" 0.
+    (Numerics.Diff.stats ()).Numerics.Diff.estimates
+
 let suite =
   ( "exact-derivs",
     [
       quick "jacobian: exact vs stencil" test_jacobian_exact_vs_fd;
-      quick "jacobian: legacy mode stencils" test_jacobian_legacy_mode_stencils;
       quick "du/dprice: exact vs stencil" test_du_dprice_exact_vs_fd;
       quick "fused marginal pins" test_fused_marginal_pins;
       quick "duopoly fused marginal pins" test_duopoly_fused_marginal_pins;
       quick "marginal_utilities_d primal" test_marginal_utilities_d_primal;
       quick "nash agrees across modes" test_nash_agrees_across_modes;
+      quick "no stencils on production paths" test_no_stencils_on_production_paths;
     ] )

@@ -110,12 +110,39 @@ let prop_corollary1_revenue_monotone_in_cap =
       in
       r_at 0.6 >= r_at 0.3 -. 1e-6)
 
+let test_kkt_residual_at_zero_cap () =
+  (* at q = 0 every subsidy sits at both bounds: any sign of u_i is
+     stationary, so the solved game is certified exactly *)
+  let sys = Fixtures.paper3 () in
+  let n = System.n_cps sys in
+  List.iter
+    (fun price ->
+      let game = Subsidy_game.make sys ~price ~cap:0. in
+      let eq = Nash.solve game in
+      check_close ~tol:0. (Printf.sprintf "q=0 p=%g" price) 0. eq.Nash.kkt_residual)
+    [ 0.3; 0.8 ];
+  (* q > 0 keeps the one-sided checks: the corner profiles of the same
+     market still report their violations *)
+  List.iter
+    (fun (price, at_zero, at_cap) ->
+      let game = Subsidy_game.make sys ~price ~cap:0.6 in
+      check_close ~tol:1e-12
+        (Printf.sprintf "zero profile p=%g" price)
+        at_zero
+        (Nash.kkt_residual game ~subsidies:(Vec.zeros n));
+      check_close ~tol:1e-12
+        (Printf.sprintf "cap profile p=%g" price)
+        at_cap
+        (Nash.kkt_residual game ~subsidies:(Vec.make n 0.6)))
+    [ (0.3, 0.38351217697148, 0.16502307416630); (0.8, 0.10486775909956, 0.22627003636560) ]
+
 let suite =
   ( "nash",
     [
       quick "solve converges" test_solve_converges;
       quick "classification" test_classification;
       quick "zero cap" test_no_subsidy_under_zero_cap;
+      quick "kkt residual at zero cap" test_kkt_residual_at_zero_cap;
       quick "best-response fixed point" test_equilibrium_is_best_response_fixed_point;
       quick "deviations unprofitable" test_unilateral_deviations_unprofitable;
       quick "threshold consistency" test_threshold_consistency;

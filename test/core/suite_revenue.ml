@@ -31,7 +31,7 @@ let test_theorem7_formula_vs_numeric () =
     (fun (price, cap) ->
       let game, eq = solved ~price ~cap () in
       let formula = Revenue.marginal_formula game ~subsidies:eq.Nash.subsidies in
-      let numeric = Revenue.marginal_numeric ~h:1e-4 game in
+      let numeric = Revenue.marginal_numeric game in
       check_close ~tol:5e-2 (Printf.sprintf "dR/dp at p=%g q=%g" price cap) numeric
         formula)
     [ (0.8, 0.4); (0.5, 1.0); (1.2, 0.2) ]

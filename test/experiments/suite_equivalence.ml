@@ -2,15 +2,16 @@ open Subsidization
 open Test_helpers
 
 (* Continuation-vs-cold-start equivalence: the warm-started fused
-   solver (Fast, the default) must reproduce the cold-start legacy
-   chain's tables. The two modes take genuinely different numerical
-   paths (exact Newton from a predicted guess vs bracketed scan from
-   scratch), so cells are certified equal within [cell_tol] rather than
-   byte-identical; `--jobs 1` vs `--jobs 4` byte-identity within Fast
-   mode is covered by test/parallel on the full experiments.
+   solver must reproduce the pre-continuation chain's tables, kept as
+   the test-only [Legacy_oracle]. The two take genuinely different
+   numerical paths (exact Newton from a predicted guess vs bracketed
+   scan from the previous solution), so cells are certified equal
+   within [cell_tol] rather than byte-identical; `--jobs 1` vs
+   `--jobs 4` byte-identity of the production path is covered by
+   test/parallel on the full experiments.
 
-   The full capacity/duopoly experiments cost minutes in Legacy mode on
-   one core, so the certification runs the SAME code paths
+   The full capacity/duopoly experiments cost minutes on the reference
+   chain on one core, so the certification runs the SAME code paths
    ([Capacity.investment_incentive] and the two [Duopoly] market
    solvers, which produce the experiments' CSV rows) on the paper's
    3-CP Figure-4/5 population instead of the 8-CP one. *)
@@ -22,16 +23,18 @@ let close ~label a b =
     (Printf.sprintf "%s: %.6g vs %.6g" label a b)
     (Float.abs (a -. b) <= cell_tol)
 
-let capacity_rows ~jobs mode =
+let caps = [ 0.; 0.6 ]
+let p_max = 2.5
+let unit_cost = 0.15
+
+let capacity_rows ~jobs =
   Parallel.Runtime.set_jobs jobs;
-  Numerics.Continuation.with_mode mode (fun () ->
-      let sys = Scenario.fig45_system () in
-      let plans =
-        Capacity.investment_incentive ~pool:(Parallel.Runtime.pool ()) sys
-          ~pricing:(Capacity.Optimal_price { p_max = 2.5 }) ~unit_cost:0.15
-          ~caps:[| 0.; 0.6 |]
-      in
-      Array.to_list plans)
+  let plans =
+    Capacity.investment_incentive ~pool:(Parallel.Runtime.pool ())
+      (Scenario.fig45_system ()) ~pricing:(Capacity.Optimal_price { p_max })
+      ~unit_cost ~caps:(Array.of_list caps)
+  in
+  Array.to_list plans
 
 let check_plans ~label reference candidate =
   List.iter2
@@ -45,24 +48,34 @@ let check_plans ~label reference candidate =
     reference candidate
 
 let test_capacity_equivalence () =
-  let reference = capacity_rows ~jobs:1 Numerics.Continuation.Legacy in
-  let fast1 = capacity_rows ~jobs:1 Numerics.Continuation.Fast in
-  let fast4 = capacity_rows ~jobs:4 Numerics.Continuation.Fast in
+  let reference =
+    List.map
+      (fun cap ->
+        Legacy_oracle.capacity_plan (Scenario.fig45_system ()) ~p_max ~unit_cost ~cap)
+      caps
+  in
+  let fast1 = capacity_rows ~jobs:1 in
+  let fast4 = capacity_rows ~jobs:4 in
   Parallel.Runtime.set_jobs 1;
-  check_plans ~label:"capacity fast@1 vs legacy" reference fast1;
-  check_plans ~label:"capacity fast@4 vs legacy" reference fast4
+  check_plans ~label:"capacity fast@1 vs oracle" reference fast1;
+  check_plans ~label:"capacity fast@4 vs oracle" reference fast4
 
-let duopoly_markets ~jobs mode =
+let duopoly_markets ~jobs =
   Parallel.Runtime.set_jobs jobs;
-  Numerics.Continuation.with_mode mode (fun () ->
-      let duopoly cap =
-        Duopoly.make ~cps:(Scenario.fig45_cps ()) ~capacity_a:0.5
-          ~capacity_b:0.5 ~cap ()
-      in
-      [
-        Duopoly.monopoly_benchmark (duopoly 1.);
-        Duopoly.price_equilibrium (duopoly 1.);
-      ])
+  let duopoly cap =
+    Duopoly.make ~cps:(Scenario.fig45_cps ()) ~capacity_a:0.5 ~capacity_b:0.5 ~cap ()
+  in
+  [ Duopoly.monopoly_benchmark (duopoly 1.); Duopoly.price_equilibrium (duopoly 1.) ]
+
+let oracle_markets () =
+  let duopoly cap =
+    Legacy_oracle.duopoly ~cps:(Scenario.fig45_cps ()) ~capacity_a:0.5 ~capacity_b:0.5
+      ~cap
+  in
+  [
+    Legacy_oracle.monopoly_benchmark (duopoly 1.);
+    Legacy_oracle.price_equilibrium (duopoly 1.);
+  ]
 
 let check_markets ~label reference candidate =
   List.iter2
@@ -75,12 +88,12 @@ let check_markets ~label reference candidate =
     reference candidate
 
 let test_duopoly_equivalence () =
-  let reference = duopoly_markets ~jobs:1 Numerics.Continuation.Legacy in
-  let fast1 = duopoly_markets ~jobs:1 Numerics.Continuation.Fast in
-  let fast4 = duopoly_markets ~jobs:4 Numerics.Continuation.Fast in
+  let reference = oracle_markets () in
+  let fast1 = duopoly_markets ~jobs:1 in
+  let fast4 = duopoly_markets ~jobs:4 in
   Parallel.Runtime.set_jobs 1;
-  check_markets ~label:"duopoly fast@1 vs legacy" reference fast1;
-  check_markets ~label:"duopoly fast@4 vs legacy" reference fast4
+  check_markets ~label:"duopoly fast@1 vs oracle" reference fast1;
+  check_markets ~label:"duopoly fast@4 vs oracle" reference fast4
 
 let test_shared_stats_attribution () =
   (* fig8-11 read one memoized sweep: after any consumer runs, the

@@ -17,6 +17,17 @@ let test_kkt_violation () =
   (* at the lower corner, F < 0 (profitable to increase): violated *)
   check_true "kkt violated at 0" (Vi.kkt_violation f (box2 ()) (Vec.zeros 2) > 0.1)
 
+let test_kkt_violation_pinned_bounds () =
+  let f = Game_fixtures.cournot_vi_map () in
+  (* lo = hi: both bounds bind, so F < 0 there is no violation *)
+  check_close ~tol:0. "degenerate box" 0.
+    (Vi.kkt_violation f (Box.uniform ~dim:2 ~lo:0. ~hi:0.) (Vec.zeros 2));
+  (* a proper box keeps the one-sided checks *)
+  check_close ~tol:1e-15 "lower corner" 0.9 (Vi.kkt_violation f (box2 ()) (Vec.zeros 2));
+  check_close ~tol:1e-15 "upper corner" 2.1 (Vi.kkt_violation f (box2 ()) (Vec.make 2 1.));
+  check_close ~tol:1e-15 "interior" 0.2
+    (Vi.kkt_violation f (box2 ()) (Vec.of_list [ 0.1; 0.5 ]))
+
 let test_extragradient () =
   let f = Game_fixtures.cournot_vi_map () in
   let x = Vi.solve_extragradient f (box2 ()) ~x0:(Vec.zeros 2) in
@@ -59,6 +70,7 @@ let suite =
     [
       quick "natural map" test_natural_map_zero_at_solution;
       quick "kkt violation" test_kkt_violation;
+      quick "kkt violation at pinned bounds" test_kkt_violation_pinned_bounds;
       quick "extragradient" test_extragradient;
       quick "extragradient binding" test_extragradient_binding_constraint;
       quick "monotonicity probe" test_monotonicity_probe;
